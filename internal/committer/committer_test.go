@@ -18,6 +18,7 @@ import (
 // rejects, when deliberately broken).
 type txFactory struct {
 	t        testing.TB
+	ca       *identity.CA
 	msp      *identity.MSP
 	client   *identity.SigningIdentity
 	endorser *identity.SigningIdentity
@@ -41,6 +42,7 @@ func newTxFactory(t testing.TB) *txFactory {
 	}
 	return &txFactory{
 		t:        t,
+		ca:       ca,
 		msp:      identity.NewMSP(ca),
 		client:   client,
 		endorser: peerID,

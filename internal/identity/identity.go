@@ -6,6 +6,7 @@
 package identity
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -208,10 +209,23 @@ func (ca *CA) Revoke(enrollID string) {
 
 // VerifyCert checks that the certificate was issued by this CA, is inside
 // its validity window, and has not been revoked.
+//
+// The validity window is judged against the verifying process's wall clock
+// (ca.now), not against any block or transaction time. Two peers validating
+// the same block across a certificate's NotAfter can therefore reach
+// different verdicts on it; the commit path inherits this divergence from
+// Fabric's MSP, which also checks expiry against local time.
 func (ca *CA) VerifyCert(cert *x509.Certificate) error {
 	if err := cert.CheckSignatureFrom(ca.cert); err != nil {
 		return fmt.Errorf("%w: %v", ErrCertNotSignedByCA, err)
 	}
+	return ca.checkStatus(cert)
+}
+
+// checkStatus is the cheap half of VerifyCert: the validity window and the
+// revocation list. MSP identity-cache hits re-run it on every lookup, since
+// both can change after the one-time signature check.
+func (ca *CA) checkStatus(cert *x509.Certificate) error {
 	now := ca.now()
 	if now.Before(cert.NotBefore) || now.After(cert.NotAfter) {
 		return ErrCertExpired
@@ -317,22 +331,39 @@ func (id *Identity) Subject() string {
 	return fmt.Sprintf("x509::CN=%s,O=%s,OU=%s", id.id, id.org, id.role)
 }
 
+// IdentityCacheCap bounds each MSP's cache of verified identities. Only the
+// canonical serialized form of a CA-issued certificate is cached, so an entry
+// holds a parsed certificate plus its serialized form, a few KiB, and a full
+// cache costs a few MiB — and holds far more identities than a channel's
+// working set of clients and peers.
+const IdentityCacheCap = 1024
+
 // MSP verifies serialized identities against the set of known org CAs. It is
 // shared by peers, orderers, and clients.
 type MSP struct {
 	mu     sync.RWMutex
 	cas    map[string]*CA // org -> CA
 	verify *VerifyCache
+	ids    *lru[string, verifiedIdentity] // serialized identity -> entry
+}
+
+// verifiedIdentity is an identity-cache entry: the parsed identity and the
+// CA its certificate was chain-verified against.
+type verifiedIdentity struct {
+	id *Identity
+	ca *CA
 }
 
 // NewMSP creates an MSP trusting the given CAs. Every MSP carries a shared
 // signature-verification cache (see VerifyCache) so all components resolving
 // identities through it — gateway checks, commit validation, gossip
-// redelivery — pool their verification work.
+// redelivery — pool their verification work, and a cache of verified
+// identities (see Deserialize).
 func NewMSP(cas ...*CA) *MSP {
 	m := &MSP{
 		cas:    make(map[string]*CA, len(cas)),
 		verify: NewVerifyCache(0),
+		ids:    newLRU[string, verifiedIdentity](IdentityCacheCap),
 	}
 	for _, ca := range cas {
 		m.cas[ca.org] = ca
@@ -343,7 +374,9 @@ func NewMSP(cas ...*CA) *MSP {
 // VerifyCache returns the MSP's shared signature-verification cache.
 func (m *MSP) VerifyCache() *VerifyCache { return m.verify }
 
-// AddCA registers an additional trusted org CA.
+// AddCA registers a trusted org CA, replacing any CA already registered for
+// that org. Cached identities verified against a replaced CA are not reused:
+// their next Deserialize verifies them against the new one.
 func (m *MSP) AddCA(ca *CA) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -361,16 +394,66 @@ func (m *MSP) Orgs() []string {
 	return out
 }
 
+// IdentityCacheStats returns a snapshot of the identity cache's hit/miss
+// counters and current size.
+func (m *MSP) IdentityCacheStats() VerifyCacheStats { return m.ids.stats() }
+
 // Deserialize parses and verifies a serialized identity: the certificate
-// must chain to a trusted CA and be within validity.
+// must carry an ECDSA P-256 key, chain to a trusted CA, be within validity,
+// and not be revoked.
+//
+// Identities that pass are cached, keyed on their exact serialized bytes,
+// so the chain check (an ECDSA verification of the certificate) runs once
+// per identity rather than once per call. A cache hit still re-checks the
+// validity window and revocation. An entry whose org now maps to a
+// different CA than the one it was verified against (after AddCA) is
+// dropped and the identity re-verified. Failures are never cached, and
+// neither is an accepted identity in any form other than the one
+// SigningIdentity.Serialize produces (extra JSON fields or whitespace, a
+// different mspid): anyone can build such variants of a public identity,
+// so caching them would let a sender fill the cache with junk of any size.
 func (m *MSP) Deserialize(raw []byte) (*Identity, error) {
+	key := string(raw)
+	if e, ok := m.ids.get(key); ok {
+		if m.trusts(e.ca, e.id.org) {
+			if err := e.ca.checkStatus(e.id.cert); err != nil {
+				return nil, err
+			}
+			return e.id, nil
+		}
+		m.ids.remove(key)
+	}
+	e, err := m.verifyIdentity(raw)
+	if err != nil {
+		return nil, err
+	}
+	if canonical, _ := json.Marshal(serializedIdentity{MSPID: e.id.MSPID(), CertDER: e.id.certDER}); bytes.Equal(canonical, raw) {
+		m.ids.put(key, e)
+	}
+	return e.id, nil
+}
+
+// trusts reports whether ca is the CA currently registered for org.
+func (m *MSP) trusts(ca *CA, org string) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.cas[org] == ca
+}
+
+// verifyIdentity is the full, uncached check behind Deserialize.
+func (m *MSP) verifyIdentity(raw []byte) (verifiedIdentity, error) {
 	var si serializedIdentity
 	if err := json.Unmarshal(raw, &si); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformedIdentity, err)
+		return verifiedIdentity{}, fmt.Errorf("%w: %v", ErrMalformedIdentity, err)
 	}
 	cert, err := x509.ParseCertificate(si.CertDER)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformedIdentity, err)
+		return verifiedIdentity{}, fmt.Errorf("%w: %v", ErrMalformedIdentity, err)
+	}
+	// Identity.Verify assumes a P-256 key; anything else is refused here,
+	// before it can reach the cache or a signature check.
+	if pub, ok := cert.PublicKey.(*ecdsa.PublicKey); !ok || pub.Curve != elliptic.P256() {
+		return verifiedIdentity{}, fmt.Errorf("%w: public key is not ECDSA P-256", ErrMalformedIdentity)
 	}
 	org := ""
 	if len(cert.Subject.Organization) > 0 {
@@ -380,17 +463,20 @@ func (m *MSP) Deserialize(raw []byte) (*Identity, error) {
 	ca, ok := m.cas[org]
 	m.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownOrg, org)
+		return verifiedIdentity{}, fmt.Errorf("%w: %q", ErrUnknownOrg, org)
 	}
 	if err := ca.VerifyCert(cert); err != nil {
-		return nil, err
+		return verifiedIdentity{}, err
 	}
-	return &Identity{
-		org:     org,
-		id:      cert.Subject.CommonName,
-		role:    parseRole(cert),
-		cert:    cert,
-		certDER: si.CertDER,
+	return verifiedIdentity{
+		id: &Identity{
+			org:     org,
+			id:      cert.Subject.CommonName,
+			role:    parseRole(cert),
+			cert:    cert,
+			certDER: si.CertDER,
+		},
+		ca: ca,
 	}, nil
 }
 

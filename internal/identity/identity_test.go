@@ -3,6 +3,7 @@ package identity
 import (
 	"bytes"
 	"crypto/x509"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -143,8 +144,13 @@ func TestRevocation(t *testing.T) {
 		t.Fatalf("Deserialize before revoke: %v", err)
 	}
 	ca.Revoke("client1")
-	if _, err := msp.Deserialize(sid.Serialize()); err == nil {
-		t.Fatal("Deserialize after revoke succeeded, want error")
+	if _, err := msp.Deserialize(sid.Serialize()); !errors.Is(err, ErrRevoked) {
+		t.Fatalf("Deserialize after revoke = %v, want ErrRevoked", err)
+	}
+	// The identity was cached by the first call, so the revocation must
+	// have been caught on a cache hit, not by a fresh verification.
+	if st := msp.IdentityCacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("identity cache stats = %+v, want the rejection on a hit", st)
 	}
 }
 

@@ -1,10 +1,8 @@
 package identity
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"sync"
 )
 
 // DefaultVerifyCacheCap is the entry bound used when a VerifyCache is built
@@ -29,12 +27,7 @@ const DefaultVerifyCacheCap = 16384
 // The zero value is not usable; build with NewVerifyCache. All methods are
 // safe for concurrent use.
 type VerifyCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[[sha256.Size]byte]*list.Element
-	order   *list.List // front = most recently used; values are key arrays
-	hits    uint64
-	misses  uint64
+	lru *lru[[sha256.Size]byte, struct{}]
 }
 
 // VerifyCacheStats is a snapshot of cache effectiveness counters.
@@ -50,11 +43,7 @@ func NewVerifyCache(capacity int) *VerifyCache {
 	if capacity <= 0 {
 		capacity = DefaultVerifyCacheCap
 	}
-	return &VerifyCache{
-		cap:     capacity,
-		entries: make(map[[sha256.Size]byte]*list.Element, capacity),
-		order:   list.New(),
-	}
+	return &VerifyCache{lru: newLRU[[sha256.Size]byte, struct{}](capacity)}
 }
 
 // verifyKey binds certificate, message, and signature into one cache key.
@@ -73,43 +62,8 @@ func verifyKey(certDER, msg, sig []byte) [sha256.Size]byte {
 	return k
 }
 
-// lookup reports whether k is cached, refreshing its recency on hit.
-func (c *VerifyCache) lookup(k [sha256.Size]byte) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		c.misses++
-		return false
-	}
-	c.order.MoveToFront(el)
-	c.hits++
-	return true
-}
-
-// insert records a successful verification, evicting the least recently
-// used entry when full.
-func (c *VerifyCache) insert(k [sha256.Size]byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[k] = c.order.PushFront(k)
-	if c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.([sha256.Size]byte))
-	}
-}
-
 // Stats returns a snapshot of the hit/miss counters and current size.
-func (c *VerifyCache) Stats() VerifyCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return VerifyCacheStats{Hits: c.hits, Misses: c.misses, Entries: c.order.Len()}
-}
+func (c *VerifyCache) Stats() VerifyCacheStats { return c.lru.stats() }
 
 // VerifyCached checks sig over msg like Verify, consulting the cache first.
 // On a hit it returns immediately — skipping both the ECDSA verification
@@ -125,7 +79,7 @@ func (id *Identity) VerifyCached(cache *VerifyCache, msg, sig []byte, onMiss fun
 		return id.Verify(msg, sig)
 	}
 	k := verifyKey(id.certDER, msg, sig)
-	if cache.lookup(k) {
+	if _, ok := cache.lru.get(k); ok {
 		return nil
 	}
 	if onMiss != nil {
@@ -134,6 +88,6 @@ func (id *Identity) VerifyCached(cache *VerifyCache, msg, sig []byte, onMiss fun
 	if err := id.Verify(msg, sig); err != nil {
 		return err
 	}
-	cache.insert(k)
+	cache.lru.put(k, struct{}{})
 	return nil
 }
