@@ -23,7 +23,7 @@ VETTOOL := tools/analyzers/bin/hyperprov-vet
 
 .PHONY: all fmt fmt-check vet vettool analyze lint build test race bench \
 	bench-commit bench-commit-sweep bench-check bench-recovery bench-state \
-	bench-channels cover crash-test cross smoke fuzz test-analyzers
+	bench-channels bench-codec cover crash-test cross smoke fuzz test-analyzers
 
 all: build test
 
@@ -79,12 +79,15 @@ race:
 
 # Native fuzz targets, $(FUZZTIME) each: the frame reader under hostile
 # bytes (header flag bits included), the checkpoint codec under damaged
-# media, and the block/envelope codec under the bytes gossip frames and v2
-# ledger files deliver. Each run first executes the committed seed corpus.
+# media, the block/envelope codec under the bytes gossip frames and v2
+# ledger files deliver, and the rwset codec under the bytes remote
+# endorsers and blocks carry. Each run first executes the committed seed
+# corpus.
 fuzz:
 	$(GO) test -fuzz=FuzzReadFrameExt -fuzztime=$(FUZZTIME) -run '^$$' ./internal/network/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=$(FUZZTIME) -run '^$$' ./internal/recovery/
 	$(GO) test -fuzz=FuzzDecodeBlockCodec -fuzztime=$(FUZZTIME) -run '^$$' ./internal/blockstore/
+	$(GO) test -fuzz=FuzzDecodeRWSet -fuzztime=$(FUZZTIME) -run '^$$' ./internal/rwset/
 
 bench:
 	$(GO) test -bench . -benchtime=500ms -run '^$$' ./...

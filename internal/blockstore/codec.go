@@ -1,6 +1,7 @@
 package blockstore
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/hyperprov/hyperprov/internal/codec"
@@ -146,11 +147,18 @@ func AppendBlock(buf []byte, b *Block) []byte {
 // fields alias data; callers hand over ownership of the buffer. Failures
 // are always structured (codec.ErrTruncated/ErrMalformed/ErrChecksum).
 func UnmarshalBlock(data []byte) (*Block, error) {
+	// Foreign input, such as a JSON block, is malformed rather than a
+	// damaged block: classify it by its magic before the checksum.
+	d := codec.NewDec(data)
+	d.Magic(blockMagic)
+	if errors.Is(d.Err(), codec.ErrMalformed) {
+		return nil, fmt.Errorf("blockstore: block codec: %w", d.Err())
+	}
 	body, err := codec.VerifyChecksum(data)
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: block codec: %w", err)
 	}
-	d := codec.NewDec(body)
+	d = codec.NewDec(body)
 	checkVersion(d, "block", d.Magic(blockMagic))
 	var b Block
 	b.Header.Number = d.Uvarint()

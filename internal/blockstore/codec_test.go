@@ -98,30 +98,28 @@ func TestSignedBytesPrefixProperty(t *testing.T) {
 	}
 }
 
-// TestLegacyJSONEnvelopeIngest verifies the '{' sniff path: a JSON
-// envelope decodes, is normalized, and from then on behaves canonically.
-func TestLegacyJSONEnvelopeIngest(t *testing.T) {
-	e := fullEnvelope("tx-legacy")
-	legacy, err := json.Marshal(&e)
+// TestJSONEnvelopeRejected pins the single wire format: a JSON envelope or
+// block (the pre-v2 encoding) is malformed input to the binary decoders,
+// never decoded.
+func TestJSONEnvelopeRejected(t *testing.T) {
+	e := fullEnvelope("tx-json")
+	jsonEnv, err := json.Marshal(&e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalEnvelope(legacy)
+	if _, err := UnmarshalEnvelope(jsonEnv); !errors.Is(err, codec.ErrMalformed) {
+		t.Fatalf("JSON envelope: want ErrMalformed, got %v", err)
+	}
+	b, err := NewBlock(0, nil, []Envelope{fullEnvelope("tx-json")})
 	if err != nil {
-		t.Fatalf("legacy ingest: %v", err)
+		t.Fatal(err)
 	}
-	if got.TxID != e.TxID || !got.Timestamp.Equal(e.Timestamp) {
-		t.Fatalf("legacy fields mismatch: %+v", got)
+	jsonBlock, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The ingested envelope's Marshal must be the canonical binary form,
-	// not an echo of the JSON input.
-	raw, _ := got.Marshal()
-	if len(raw) == 0 || raw[0] == '{' {
-		t.Fatal("legacy ingest did not re-encode to binary")
-	}
-	rt, err := UnmarshalEnvelope(raw)
-	if err != nil || rt.TxID != e.TxID {
-		t.Fatalf("binary round-trip after ingest: %v", err)
+	if _, err := UnmarshalBlock(jsonBlock); !errors.Is(err, codec.ErrMalformed) {
+		t.Fatalf("JSON block: want ErrMalformed, got %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package blockstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -55,52 +56,29 @@ func TestFileStorePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestFileStoreDiscardsTruncatedTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
-	s, err := OpenFileStoreLegacy(path, SyncOnClose)
-	if err != nil {
-		t.Fatal(err)
+// v2Records splits a v2 block file into its raw records (magic, length
+// and body each).
+func v2Records(t *testing.T, raw []byte) [][]byte {
+	t.Helper()
+	var recs [][]byte
+	for len(raw) > 0 {
+		_, total, status := parseV2Record(raw)
+		if status != recComplete {
+			t.Fatalf("record %d: status %d", len(recs), status)
+		}
+		recs = append(recs, raw[:total])
+		raw = raw[total:]
 	}
-	fillFileStore(t, s, 0, 3)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append: a partial JSON line at the tail.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"header":{"number":3,"previo`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("reopen after crash: %v", err)
-	}
-	defer s2.Close()
-	if s2.Height() != 3 {
-		t.Fatalf("height after crash recovery = %d, want 3", s2.Height())
-	}
-	// New appends must produce a consistent file.
-	fillFileStore(t, s2, 3, 1)
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if s3.Height() != 4 {
-		t.Errorf("final height = %d, want 4", s3.Height())
-	}
+	return recs
 }
 
+// TestFileStoreRejectsTamperedFile rewrites block 1 on disk as a well-formed
+// record — valid CRC, valid encoding, header untouched — whose envelope
+// carries a different TxID. Only the data-hash check can catch it, and the
+// open must fail with ErrCorruptFile rather than serve the forged block.
 func TestFileStoreRejectsTamperedFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chain.jsonl")
-	s, err := OpenFileStoreLegacy(path, SyncOnClose)
+	s, err := OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,36 +86,39 @@ func TestFileStoreRejectsTamperedFile(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Tamper with a committed envelope on disk: the data hash breaks, so
-	// reopening must fail the chain check.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := []byte(string(raw))
-	replaced := false
-	for i := range tampered {
-		if string(tampered[i:i+8]) == `"tx-1"`+`,"` {
-			copy(tampered[i:], []byte(`"tx-X"`))
-			replaced = true
-			break
-		}
+	recs := v2Records(t, raw)
+	if len(recs) != 3 {
+		t.Fatalf("file holds %d records, want 3", len(recs))
 	}
-	if !replaced {
-		// Fallback: flip a byte inside the middle of the file.
-		tampered[len(tampered)/2] ^= 0x01
+	blob, _, _ := parseV2Record(recs[1])
+	b, err := UnmarshalBlock(blob)
+	if err != nil {
+		t.Fatal(err)
 	}
+	// A fresh envelope carries no cached encoding, so the re-encode
+	// reflects the forged TxID.
+	b.Envelopes[0] = mkEnv("tx-X", "set")
+	forged := MarshalBlock(b)
+	if _, err := UnmarshalBlock(forged); err != nil {
+		t.Fatalf("forged record is not well-formed: %v", err)
+	}
+	rec := binary.AppendUvarint(append([]byte(nil), v2Magic...), uint64(len(forged)))
+	tampered := bytes.Join([][]byte{recs[0], rec, forged, recs[2]}, nil)
 	if err := os.WriteFile(path, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileStore(path); err == nil {
-		t.Fatal("tampered block file loaded without error")
+	if _, err := OpenFileStore(path); !errors.Is(err, ErrCorruptFile) {
+		t.Fatalf("tampered block file: err = %v, want ErrCorruptFile", err)
 	}
 }
 
 func TestFileStoreMidFileGarbageIsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chain.jsonl")
-	s, err := OpenFileStoreLegacy(path, SyncOnClose)
+	s, err := OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,20 +126,17 @@ func TestFileStoreMidFileGarbageIsCorruption(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Damage a line in the middle of the file so it no longer parses. A
-	// crash cannot do this — only the final line can be torn — so the open
-	// must refuse rather than silently truncate away the valid blocks that
-	// follow the damage.
+	// Overwrite the second record's magic so it no longer starts a record.
+	// A crash cannot do this — only the final record can be torn — so the
+	// open must refuse rather than silently truncate away the valid blocks
+	// that follow the damage.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.SplitAfter(raw, []byte("\n"))
-	if len(lines) < 4 {
-		t.Fatalf("expected >=4 lines, got %d", len(lines))
-	}
-	lines[1] = append([]byte(`{"header":#garbage#`), '\n')
-	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+	recs := v2Records(t, raw)
+	copy(recs[1], "#garbage#")
+	if err := os.WriteFile(path, bytes.Join(recs, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = OpenFileStore(path)
@@ -169,7 +147,7 @@ func TestFileStoreMidFileGarbageIsCorruption(t *testing.T) {
 
 func TestFileStoreBlankLineIsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chain.jsonl")
-	s, err := OpenFileStoreLegacy(path, SyncOnClose)
+	s, err := OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +155,9 @@ func TestFileStoreBlankLineIsCorruption(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A blank final line cannot come from a torn append (appends write the
-	// payload before the newline), so it must read as corruption too.
+	// A stray newline after the last record is neither a torn record (not
+	// a prefix of the record magic) nor a zero-filled tail, so a crash
+	// cannot explain it and it must read as corruption.
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +168,7 @@ func TestFileStoreBlankLineIsCorruption(t *testing.T) {
 	f.Close()
 	_, err = OpenFileStore(path)
 	if !errors.Is(err, ErrCorruptFile) {
-		t.Fatalf("open over blank line: err = %v, want ErrCorruptFile", err)
+		t.Fatalf("open over stray newline: err = %v, want ErrCorruptFile", err)
 	}
 }
 
@@ -232,50 +211,5 @@ func TestFileStoreSequenceStillEnforced(t *testing.T) {
 	}
 	if err := s.Sync(); err != nil {
 		t.Errorf("Sync: %v", err)
-	}
-}
-
-func TestFileStoreTornNewlineKeepsDurableBlock(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
-	s, err := OpenFileStoreLegacy(path, SyncEachAppend)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillFileStore(t, s, 0, 3)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear exactly the final newline: the last block's bytes are all
-	// durable, only the terminator is gone. The block must survive the
-	// reopen (fsynced data is never dropped), the file must not grow a
-	// junk byte, and future appends must land on their own lines.
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, fi.Size()-1); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("reopen after torn newline: %v", err)
-	}
-	if s2.Height() != 3 {
-		t.Fatalf("height after torn newline = %d, want 3", s2.Height())
-	}
-	fillFileStore(t, s2, 3, 2)
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("second reopen: %v", err)
-	}
-	defer s3.Close()
-	if s3.Height() != 5 {
-		t.Errorf("final height = %d, want 5", s3.Height())
-	}
-	if err := s3.VerifyChain(); err != nil {
-		t.Errorf("VerifyChain: %v", err)
 	}
 }

@@ -1,28 +1,16 @@
 package blockstore
 
-// Mixed-format ledger coverage: new ledgers are v2 binary, legacy JSONL
-// ledgers open transparently and keep their format until migrated, and
-// MigrateFileToV2 converts atomically (temp + fsync + rename + dir fsync).
-// The JSONL-specific crash-semantics tests in file_test.go pin the legacy
-// loader via OpenFileStoreLegacy; this file pins the v2 loader's.
+// v2 block-file coverage: crash semantics of the binary record loader
+// (torn tails, zero fill, mid-file damage) and the refusal of pre-v2 JSON
+// ledgers.
 
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
-
-// chainFingerprint summarizes the externally observable ledger state.
-func chainFingerprint(t *testing.T, s *FileStore) string {
-	t.Helper()
-	if err := s.VerifyChain(); err != nil {
-		t.Fatalf("VerifyChain: %v", err)
-	}
-	return fmt.Sprintf("h=%d last=%x", s.Height(), s.LastHash())
-}
 
 func TestFileStoreNewFilesAreV2(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chain.jsonl")
@@ -31,9 +19,6 @@ func TestFileStoreNewFilesAreV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillFileStore(t, s, 0, 4)
-	if got := s.Format(); got != "v2" {
-		t.Fatalf("new file format = %q, want v2", got)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +29,14 @@ func TestFileStoreNewFilesAreV2(t *testing.T) {
 	if !bytes.HasPrefix(raw, v2Magic) {
 		t.Fatalf("v2 file does not start with record magic: %q", raw[:8])
 	}
-	// Reopen sniffs v2 and replays everything.
+	// Reopen replays everything.
 	s2, err := OpenFileStore(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	if s2.Format() != "v2" || s2.Height() != 4 {
-		t.Fatalf("reopen: format=%s height=%d", s2.Format(), s2.Height())
+	if s2.Height() != 4 {
+		t.Fatalf("reopen: height=%d, want 4", s2.Height())
 	}
 	env, code, err := s2.GetTx("tx-2")
 	if err != nil || code != TxValid || env.TxID != "tx-2" {
@@ -59,137 +44,6 @@ func TestFileStoreNewFilesAreV2(t *testing.T) {
 	}
 	if err := s2.VerifyChain(); err != nil {
 		t.Fatalf("VerifyChain after v2 reload: %v", err)
-	}
-}
-
-func TestFileStoreLegacyOpensAndStaysJSONL(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
-	s, err := OpenFileStoreLegacy(path, SyncOnClose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillFileStore(t, s, 0, 3)
-	if s.Format() != "jsonl" {
-		t.Fatalf("legacy format = %q", s.Format())
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A plain OpenFileStore must sniff JSONL and keep appending JSONL so
-	// one file never mixes record formats.
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("sniffing reopen: %v", err)
-	}
-	if s2.Format() != "jsonl" || s2.Height() != 3 {
-		t.Fatalf("reopen: format=%s height=%d", s2.Format(), s2.Height())
-	}
-	fillFileStore(t, s2, 3, 2)
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(raw, v2Magic) {
-		t.Fatal("legacy file grew v2 records")
-	}
-	s3, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if s3.Height() != 5 {
-		t.Fatalf("height after mixed-session appends = %d, want 5", s3.Height())
-	}
-}
-
-// TestMigrateLedgerToV2 pins the one-shot conversion: same blocks, same
-// hashes, same tx lookups — only the container format changes.
-func TestMigrateLedgerToV2(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
-	s, err := OpenFileStoreLegacy(path, SyncOnClose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillFileStore(t, s, 0, 6)
-	before := chainFingerprint(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	migrated, err := MigrateFileToV2(path)
-	if err != nil {
-		t.Fatalf("migrate: %v", err)
-	}
-	if !migrated {
-		t.Fatal("legacy ledger reported as already migrated")
-	}
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("open after migrate: %v", err)
-	}
-	defer s2.Close()
-	if s2.Format() != "v2" {
-		t.Fatalf("post-migration format = %q", s2.Format())
-	}
-	if after := chainFingerprint(t, s2); after != before {
-		t.Fatalf("migration changed the chain: %q -> %q", before, after)
-	}
-	env, code, err := s2.GetTx("tx-4")
-	if err != nil || code != TxValid || env.TxID != "tx-4" {
-		t.Fatalf("GetTx after migration = %v %v %v", env, code, err)
-	}
-	// Second run is a no-op.
-	migrated, err = MigrateFileToV2(path)
-	if err != nil || migrated {
-		t.Fatalf("re-migrate = %v %v, want false nil", migrated, err)
-	}
-}
-
-// TestMigrateSurvivesCrashLeftovers models a crash mid-migration: the temp
-// file was written but the rename never happened. The original ledger must
-// open untouched and a rerun must finish the job.
-func TestMigrateSurvivesCrashLeftovers(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "chain.jsonl")
-	s, err := OpenFileStoreLegacy(path, SyncOnClose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillFileStore(t, s, 0, 4)
-	before := chainFingerprint(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A crashed migration leaves a stray temp file behind; it must never
-	// shadow or corrupt the real ledger.
-	stray := filepath.Join(dir, "chain.jsonl.migrate-12345.tmp")
-	if err := os.WriteFile(stray, []byte("HPB2 partial garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("open with stray temp present: %v", err)
-	}
-	if got := chainFingerprint(t, s2); got != before {
-		t.Fatalf("stray temp changed the chain: %q -> %q", before, got)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	migrated, err := MigrateFileToV2(path)
-	if err != nil || !migrated {
-		t.Fatalf("migrate after crash = %v %v", migrated, err)
-	}
-	s3, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if got := chainFingerprint(t, s3); got != before {
-		t.Fatalf("post-crash migration changed the chain: %q -> %q", before, got)
 	}
 }
 
@@ -352,5 +206,34 @@ func TestFileStoreUnrecognizedFormatByte(t *testing.T) {
 	}
 	if _, err := OpenFileStore(path); !errors.Is(err, ErrCorruptFile) {
 		t.Fatalf("alien format byte: err = %v, want ErrCorruptFile", err)
+	}
+}
+
+// TestFileStoreRefusesLegacyLedger opens a 3-block ledger written by the
+// pre-v2 JSON-lines block store, whose hashes cover JSON encodings. The
+// open must fail with ErrLegacyLedger, not ErrCorruptFile, and must leave
+// the file byte-for-byte as it was: no truncation, no append.
+func TestFileStoreRefusesLegacyLedger(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "legacy_ledger.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "blocks.jsonl")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenFileStore(path)
+	if !errors.Is(err, ErrLegacyLedger) || errors.Is(err, ErrCorruptFile) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("open legacy ledger: err = %v, want ErrLegacyLedger", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("refused open modified the ledger: %d bytes, want %d", len(got), len(want))
 	}
 }

@@ -56,9 +56,8 @@ func FuzzDecodeBlockCodec(f *testing.F) {
 	f.Add([]byte("HPEV"))
 	f.Add([]byte{})
 
-	// Legacy JSON ledger records (PR ≤ 9 wire/file format): a whole block
-	// line and a lone envelope. The binary block decoder must reject both
-	// structurally; the envelope decoder's '{' sniff path ingests the latter.
+	// Pre-v2 JSON records: a whole block line and a lone envelope. Both
+	// decoders must reject them, and any '{'-prefixed input, as malformed.
 	legacyBlock, err := json.Marshal(full)
 	if err != nil {
 		f.Fatal(err)
@@ -72,10 +71,16 @@ func FuzzDecodeBlockCodec(f *testing.F) {
 	f.Add(legacyEnv)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		jsonLike := len(data) > 0 && data[0] == '{'
 		if b, err := UnmarshalBlock(data); err != nil {
 			if !structuredCodecError(err) {
 				t.Fatalf("unstructured error from UnmarshalBlock: %v", err)
 			}
+			if jsonLike && !errors.Is(err, codec.ErrMalformed) {
+				t.Fatalf("'{' input to UnmarshalBlock: want ErrMalformed, got %v", err)
+			}
+		} else if jsonLike {
+			t.Fatal("UnmarshalBlock accepted '{' input")
 		} else {
 			rt, err := UnmarshalBlock(MarshalBlock(b))
 			if err != nil {
@@ -86,18 +91,19 @@ func FuzzDecodeBlockCodec(f *testing.F) {
 			}
 		}
 
-		// The envelope decoder under the same bytes. The '{' sniff path is
-		// legacy JSON ingest whose errors come from encoding/json, so the
-		// structured-sentinel contract applies to binary input only.
-		if len(data) > 0 && data[0] == '{' {
-			return
-		}
+		// The envelope decoder under the same bytes.
 		e, err := UnmarshalEnvelope(data)
 		if err != nil {
 			if !structuredCodecError(err) {
 				t.Fatalf("unstructured error from UnmarshalEnvelope: %v", err)
 			}
+			if jsonLike && !errors.Is(err, codec.ErrMalformed) {
+				t.Fatalf("'{' input to UnmarshalEnvelope: want ErrMalformed, got %v", err)
+			}
 			return
+		}
+		if jsonLike {
+			t.Fatal("UnmarshalEnvelope accepted '{' input")
 		}
 		raw, err := e.Marshal()
 		if err != nil {

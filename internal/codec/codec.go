@@ -3,8 +3,8 @@
 // checkpoint codec (PR 3 measured it ~10x faster to decode than
 // encoding/json) and factors that codec's style — ASCII magic, uvarint
 // framing, length-prefixed byte strings, CRC-32C trailers, and a
-// sticky-error decode cursor — into primitives every hot-path codec
-// (envelope, block, rwset, wire frames) builds on.
+// sticky-error decode cursor — into primitives every codec (envelope,
+// block, rwset, wire frames, and the checkpoint codec itself) builds on.
 //
 // The package has two halves:
 //
@@ -174,8 +174,7 @@ func (b *Buffer) Grow(n int) {
 
 // Dec is a bounds-checked cursor over an encoded record. The first failed
 // read records the error and every later read returns a zero value, so
-// codecs decode a whole structure linearly and check Err once at the end —
-// the same shape as the checkpoint codec's decoder.
+// codecs decode a whole structure linearly and check Err once at the end.
 type Dec struct {
 	buf []byte
 	err error
@@ -209,22 +208,27 @@ func (d *Dec) Finish() error {
 	return nil
 }
 
-// Magic consumes and verifies a magic prefix plus a version byte, failing
-// with ErrTruncated/ErrMalformed as appropriate. It returns the version so
-// callers can range-check against what they support.
+// Magic consumes and verifies a magic prefix plus a version byte. It
+// returns the version so callers can range-check against what they
+// support. Input whose leading bytes differ from the magic fails with
+// ErrMalformed even when it is also too short; only a true prefix of the
+// magic (or a missing version byte) is ErrTruncated.
 func (d *Dec) Magic(magic []byte) byte {
 	if d.err != nil {
 		return 0
 	}
+	for i, c := range magic {
+		if i == len(d.buf) {
+			break
+		}
+		if d.buf[i] != c {
+			d.err = fmt.Errorf("%w: bad magic %q", ErrMalformed, d.buf[:min(len(magic), len(d.buf))])
+			return 0
+		}
+	}
 	if len(d.buf) < len(magic)+1 {
 		d.err = fmt.Errorf("%w: %d bytes, need %d-byte magic+version", ErrTruncated, len(d.buf), len(magic)+1)
 		return 0
-	}
-	for i, c := range magic {
-		if d.buf[i] != c {
-			d.err = fmt.Errorf("%w: bad magic %q", ErrMalformed, d.buf[:len(magic)])
-			return 0
-		}
 	}
 	ver := d.buf[len(magic)]
 	d.buf = d.buf[len(magic)+1:]
@@ -353,17 +357,6 @@ func (d *Dec) Time() time.Time {
 		return time.Time{}
 	}
 	return time.Unix(sec, int64(nsec)).UTC()
-}
-
-// NormalizeTime maps t onto the exact value its encoding round-trips to:
-// UTC, wall-clock only. Codecs apply it when ingesting values from
-// non-canonical sources (legacy JSON records, time.Now()) so that
-// encode(decode(encode(x))) is byte-identical to encode(x).
-func NormalizeTime(t time.Time) time.Time {
-	if t.IsZero() {
-		return time.Time{}
-	}
-	return time.Unix(t.Unix(), int64(t.Nanosecond())).UTC()
 }
 
 // MaxCount guards explicit caller-side allocation decisions; it is the

@@ -108,6 +108,19 @@ func TestMagic(t *testing.T) {
 	if !errors.Is(d.Err(), ErrMalformed) {
 		t.Fatalf("wrong magic: want ErrMalformed, got %v", d.Err())
 	}
+
+	// A short input is malformed, not truncated, once a byte it does have
+	// differs from the magic: no continuation could make it valid.
+	d = NewDec([]byte("{"))
+	d.Magic(magic)
+	if !errors.Is(d.Err(), ErrMalformed) {
+		t.Fatalf("short wrong magic: want ErrMalformed, got %v", d.Err())
+	}
+	d = NewDec([]byte("HP"))
+	d.Magic(magic)
+	if !errors.Is(d.Err(), ErrTruncated) {
+		t.Fatalf("magic prefix: want ErrTruncated, got %v", d.Err())
+	}
 }
 
 // TestCountBound verifies hostile counts fail before allocation.
@@ -204,28 +217,5 @@ func TestBytesShared(t *testing.T) {
 	buf[1] = 'S' // first payload byte (after 1-byte length)
 	if string(p) != "Shared" {
 		t.Fatal("BytesShared did not alias the input")
-	}
-}
-
-// TestNormalizeTime pins the legacy-ingest normalization contract.
-func TestNormalizeTime(t *testing.T) {
-	loc := time.FixedZone("X", 3600)
-	in := time.Date(2024, 5, 1, 12, 0, 0, 999, loc)
-	norm := NormalizeTime(in)
-	if norm.Location() != time.UTC {
-		t.Fatalf("not UTC: %v", norm)
-	}
-	if !norm.Equal(in) {
-		t.Fatalf("normalization changed the instant: %v vs %v", norm, in)
-	}
-	if !NormalizeTime(time.Time{}).IsZero() {
-		t.Fatal("zero time must stay zero")
-	}
-	// Round-trip through the codec must be byte-stable.
-	first := AppendTime(nil, norm)
-	d := NewDec(first)
-	again := AppendTime(nil, d.Time())
-	if !bytes.Equal(first, again) {
-		t.Fatal("normalized time not byte-stable across round-trip")
 	}
 }

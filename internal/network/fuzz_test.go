@@ -53,14 +53,14 @@ func FuzzReadFrameExt(f *testing.F) {
 			}
 			return
 		}
-		// ReadFrame over the same bytes must agree on the payload (it only
-		// discards the extensions).
-		plain, err := ReadFrame(bytes.NewReader(data))
+		// ReadTracedFrame over the same bytes must agree on the payload and
+		// trace ID (it only discards the channel extension).
+		plain, plainTrace, err := ReadTracedFrame(bytes.NewReader(data))
 		if err != nil {
-			t.Fatalf("ReadFrameExt accepted but ReadFrame rejected: %v", err)
+			t.Fatalf("ReadFrameExt accepted but ReadTracedFrame rejected: %v", err)
 		}
-		if !bytes.Equal(plain, payload) {
-			t.Fatalf("ReadFrame payload %q != ReadFrameExt payload %q", plain, payload)
+		if !bytes.Equal(plain, payload) || plainTrace != traceID {
+			t.Fatalf("ReadTracedFrame (%q, %q) != ReadFrameExt (%q, %q)", plain, plainTrace, payload, traceID)
 		}
 		if len(payload) > MaxFrame {
 			// Headers may announce up to MaxFrame plus extension headroom;

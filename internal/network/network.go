@@ -46,29 +46,26 @@ const maxChannelID = 255
 // ErrFrameTooLarge is returned when a peer announces an oversized frame.
 var ErrFrameTooLarge = errors.New("network: frame exceeds maximum size")
 
-// WriteFrame writes one length-prefixed frame. Header and body go out in a
-// single Write call: a shaped link charges the one-way latency exactly once
-// per frame, and concurrent frame writers sharing a connection cannot
-// interleave one frame's header with another's body.
-func WriteFrame(w io.Writer, payload []byte) error {
-	return WriteTracedFrame(w, "", payload)
-}
-
 // WriteTracedFrame writes one frame, embedding traceID in the header when
 // non-empty so the receiving process can join the sender's trace. An empty
-// traceID produces a plain frame identical to WriteFrame's. Trace IDs
-// longer than 255 bytes are dropped (the frame is still sent, untraced).
+// traceID produces a plain frame. Trace IDs longer than 255 bytes are
+// dropped (the frame is still sent, untraced).
 func WriteTracedFrame(w io.Writer, traceID string, payload []byte) error {
 	return WriteFrameExt(w, traceID, "", payload)
 }
 
-// WriteFrameExt writes one frame carrying up to two header extensions: the
-// trace ID (traceFlag) and the channel ID (channelFlag) routing the frame to
-// one channel of a multi-channel host. Either may be empty; with both empty
-// the frame is byte-identical to a plain WriteFrame frame, which is what
-// keeps single-channel peers wire-compatible across versions. Extension
-// values longer than 255 bytes are dropped (the frame is still sent without
-// that extension).
+// WriteFrameExt writes one length-prefixed frame carrying up to two header
+// extensions: the trace ID (traceFlag) and the channel ID (channelFlag)
+// routing the frame to one channel of a multi-channel host. Either may be
+// empty; with both empty the frame is a plain [4-byte len][body] frame,
+// which is what keeps single-channel peers wire-compatible across
+// versions. Extension values longer than 255 bytes are dropped (the frame
+// is still sent without that extension).
+//
+// Header and body go out in a single Write call: a shaped link charges the
+// one-way latency exactly once per frame, and concurrent frame writers
+// sharing a connection cannot interleave one frame's header with another's
+// body.
 func WriteFrameExt(w io.Writer, traceID, channelID string, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
@@ -92,7 +89,7 @@ func WriteFrameExt(w io.Writer, traceID, channelID string, payload []byte) error
 	// Assemble the frame in a pooled buffer: the steady-state gossip and
 	// transport write path sends thousands of frames per second, and a
 	// per-frame allocation sized header+payload is pure GC pressure. The
-	// single Write call below is still load-bearing (see WriteFrame).
+	// single Write call below is still load-bearing (see above).
 	fb := codec.GetBuffer()
 	fb.Grow(4 + ext + len(payload))
 	buf := fb.B[:4+ext+len(payload)]
@@ -115,13 +112,6 @@ func WriteFrameExt(w io.Writer, traceID, channelID string, payload []byte) error
 		return fmt.Errorf("network: write frame: %w", err)
 	}
 	return nil
-}
-
-// ReadFrame reads one length-prefixed frame, discarding any trace-ID
-// extension.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	payload, _, err := ReadTracedFrame(r)
-	return payload, err
 }
 
 // ReadTracedFrame reads one frame and returns its payload plus the trace ID

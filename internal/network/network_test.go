@@ -13,32 +13,32 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte{7}, 100000)}
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
+		if err := WriteFrameExt(&buf, "", "", p); err != nil {
+			t.Fatalf("WriteFrameExt: %v", err)
 		}
 	}
 	for _, want := range payloads {
-		got, err := ReadFrame(&buf)
+		got, _, _, err := ReadFrameExt(&buf)
 		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
+			t.Fatalf("ReadFrameExt: %v", err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("frame = %d bytes, want %d", len(got), len(want))
 		}
 	}
-	if _, err := ReadFrame(&buf); !errors.Is(err, io.EOF) {
+	if _, _, _, err := ReadFrameExt(&buf); !errors.Is(err, io.EOF) {
 		t.Errorf("read past end = %v, want EOF", err)
 	}
 }
 
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteFrameExt(&buf, "", "", make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized write err = %v", err)
 	}
 	// A malicious header announcing an oversized frame must be rejected.
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, _, err := ReadFrameExt(&buf); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized read err = %v", err)
 	}
 }
@@ -60,7 +60,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Errorf("got %+v", got)
 	}
 	// Bad JSON in a valid frame.
-	if err := WriteFrame(&buf, []byte("{not json")); err != nil {
+	if err := WriteFrameExt(&buf, "", "", []byte("{not json")); err != nil {
 		t.Fatal(err)
 	}
 	if err := ReadJSON(&buf, &got); err == nil {
@@ -70,11 +70,11 @@ func TestJSONRoundTrip(t *testing.T) {
 
 func TestTruncatedFrame(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("complete")); err != nil {
+	if err := WriteFrameExt(&buf, "", "", []byte("complete")); err != nil {
 		t.Fatal(err)
 	}
 	trunc := bytes.NewReader(buf.Bytes()[:buf.Len()-3])
-	if _, err := ReadFrame(trunc); err == nil {
+	if _, _, _, err := ReadFrameExt(trunc); err == nil {
 		t.Error("truncated frame read succeeded")
 	}
 }
@@ -109,10 +109,10 @@ func TestShapedConnWrites(t *testing.T) {
 func TestQuickFrameRoundTrip(t *testing.T) {
 	f := func(payload []byte) bool {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, payload); err != nil {
+		if err := WriteFrameExt(&buf, "", "", payload); err != nil {
 			return false
 		}
-		got, err := ReadFrame(&buf)
+		got, _, _, err := ReadFrameExt(&buf)
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -142,14 +142,14 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 func TestReadFrameShortHeader(t *testing.T) {
 	// A clean EOF before any header byte passes through as io.EOF (normal
 	// connection shutdown between frames)...
-	if _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
+	if _, _, _, err := ReadFrameExt(bytes.NewReader(nil)); err != io.EOF {
 		t.Errorf("empty stream err = %v, want io.EOF", err)
 	}
 	// ...but a header cut off mid-way is an unexpected EOF, not a clean
 	// shutdown.
 	for _, n := range []int{1, 2, 3} {
 		hdr := []byte{0, 0, 0, 9}
-		if _, err := ReadFrame(bytes.NewReader(hdr[:n])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, _, _, err := ReadFrameExt(bytes.NewReader(hdr[:n])); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("%d-byte header err = %v, want ErrUnexpectedEOF", n, err)
 		}
 	}
@@ -157,14 +157,14 @@ func TestReadFrameShortHeader(t *testing.T) {
 
 func TestReadFrameShortBody(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("abcdefgh")); err != nil {
+	if err := WriteFrameExt(&buf, "", "", []byte("abcdefgh")); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	// Every possible body truncation point must error, never hang or
 	// return a partial payload.
 	for cut := 4; cut < len(full); cut++ {
-		_, err := ReadFrame(bytes.NewReader(full[:cut]))
+		_, _, _, err := ReadFrameExt(bytes.NewReader(full[:cut]))
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("body cut at %d: err = %v, want ErrUnexpectedEOF", cut, err)
 		}
@@ -173,10 +173,10 @@ func TestReadFrameShortBody(t *testing.T) {
 
 func TestReadFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, nil); err != nil {
+	if err := WriteFrameExt(&buf, "", "", nil); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := ReadFrame(&buf)
+	payload, _, _, err := ReadFrameExt(&buf)
 	if err != nil || len(payload) != 0 {
 		t.Errorf("empty frame = %v, %v", payload, err)
 	}
@@ -184,11 +184,11 @@ func TestReadFrameEmptyPayload(t *testing.T) {
 
 func TestWriteFrameErrorPropagation(t *testing.T) {
 	// Failure while writing the header.
-	if err := WriteFrame(&failAfterWriter{n: 2}, []byte("payload")); err == nil {
+	if err := WriteFrameExt(&failAfterWriter{n: 2}, "", "", []byte("payload")); err == nil {
 		t.Error("header write failure not reported")
 	}
 	// Failure while writing the body.
-	if err := WriteFrame(&failAfterWriter{n: 6}, []byte("payload")); err == nil {
+	if err := WriteFrameExt(&failAfterWriter{n: 6}, "", "", []byte("payload")); err == nil {
 		t.Error("body write failure not reported")
 	}
 }
@@ -212,13 +212,13 @@ func (w *countingWriter) Read(p []byte) (int, error) { return w.buf.Read(p) }
 // concurrent writers interleave header and body bytes).
 func TestWriteFrameSingleWrite(t *testing.T) {
 	w := &countingWriter{}
-	if err := WriteFrame(w, []byte("payload")); err != nil {
+	if err := WriteFrameExt(w, "", "", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	if w.writes != 1 {
-		t.Fatalf("WriteFrame issued %d writes, want 1", w.writes)
+		t.Fatalf("WriteFrameExt issued %d writes, want 1", w.writes)
 	}
-	got, err := ReadFrame(&w.buf)
+	got, _, _, err := ReadFrameExt(&w.buf)
 	if err != nil || string(got) != "payload" {
 		t.Fatalf("roundtrip = %q, %v", got, err)
 	}
@@ -232,7 +232,7 @@ func TestShapedFramePaysOneLatency(t *testing.T) {
 	w := &countingWriter{}
 	c := NewShapedConn(w, LinkShape{Latency: latency})
 	start := time.Now()
-	if err := WriteFrame(c, []byte("one charge")); err != nil {
+	if err := WriteFrameExt(c, "", "", []byte("one charge")); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -250,10 +250,10 @@ func TestShapedFramePaysOneLatency(t *testing.T) {
 func TestReadFrameAtExactLimit(t *testing.T) {
 	var buf bytes.Buffer
 	payload := make([]byte, 1<<10)
-	if err := WriteFrame(&buf, payload); err != nil {
+	if err := WriteFrameExt(&buf, "", "", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, _, _, err := ReadFrameExt(&buf)
 	if err != nil || len(got) != len(payload) {
 		t.Fatalf("roundtrip: %d bytes, err %v", len(got), err)
 	}

@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -21,14 +22,12 @@ func TestTracedFrameRoundTrip(t *testing.T) {
 }
 
 func TestTracedFrameEmptyIDIsPlainFrame(t *testing.T) {
-	var a, b bytes.Buffer
+	var a bytes.Buffer
 	if err := WriteTracedFrame(&a, "", []byte("same")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&b, []byte("same")); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	plain := append(binary.BigEndian.AppendUint32(nil, 4), "same"...)
+	if !bytes.Equal(a.Bytes(), plain) {
 		t.Error("empty-ID traced frame differs from plain frame on the wire")
 	}
 	_, id, err := ReadTracedFrame(&a)
@@ -46,19 +45,6 @@ func TestTracedFrameOversizedIDDropped(t *testing.T) {
 	payload, id, err := ReadTracedFrame(&buf)
 	if err != nil || id != "" || string(payload) != "body" {
 		t.Errorf("payload=%q id=%q err=%v", payload, id, err)
-	}
-}
-
-// Plain ReadFrame must interoperate with traced writers: the trace ID is
-// discarded, the payload survives.
-func TestReadFrameDiscardsTraceID(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTracedFrame(&buf, "tx9", []byte("visible")); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := ReadFrame(&buf)
-	if err != nil || string(payload) != "visible" {
-		t.Errorf("payload=%q err=%v", payload, err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/blockstore"
+	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/committer"
 	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/richquery"
@@ -326,8 +326,7 @@ func TestCodecHostileCountDoesNotPanic(t *testing.T) {
 	buf = binary.AppendUvarint(buf, 0)     // index defs
 	buf = binary.AppendUvarint(buf, 0)     // index entries
 	buf = binary.AppendUvarint(buf, 1<<61) // hostile state count
-	sum := crc32.Checksum(buf, castagnoli)
-	buf = binary.BigEndian.AppendUint32(buf, sum)
+	buf = codec.AppendChecksum(buf, 0)
 	if _, err := decodeCheckpoint(buf); err == nil {
 		t.Fatal("hostile count decoded without error")
 	}

@@ -1,11 +1,15 @@
 package recovery
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"github.com/hyperprov/hyperprov/internal/codec"
 	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/statedb"
@@ -38,10 +42,9 @@ func fuzzSeedCheckpoint() *Checkpoint {
 
 // FuzzDecodeCheckpoint throws arbitrary bytes at the checkpoint decoder.
 // The recovery contract under damaged media: no panic, no unbounded
-// allocation, every failure a structured error (ErrBadChecksum or the
-// codec's truncation error) so LoadLatest can fall back to an older
-// checkpoint — and every accepted input re-encodes to an identical
-// snapshot.
+// allocation, every failure a structured error (ErrBadChecksum or a
+// codec sentinel) so LoadLatest can fall back to an older checkpoint — and
+// every accepted input re-encodes to an identical snapshot.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(encodeCheckpoint(&Checkpoint{}))
 	f.Add(encodeCheckpoint(fuzzSeedCheckpoint()))
@@ -62,7 +65,8 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
 		if err != nil {
-			if !errors.Is(err, ErrBadChecksum) && !errors.Is(err, errTruncated) {
+			if !errors.Is(err, ErrBadChecksum) && !errors.Is(err, codec.ErrTruncated) &&
+				!errors.Is(err, codec.ErrMalformed) {
 				t.Fatalf("unstructured error from decodeCheckpoint: %v", err)
 			}
 			return
@@ -75,4 +79,25 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatalf("checkpoint round-trip mismatch:\n got %#v\nwant %#v", ck2, ck)
 		}
 	})
+}
+
+// TestCheckpointGolden pins the HPCKPT1 bytes: testdata/checkpoint_v1.golden
+// is fuzzSeedCheckpoint() as encoded before the codec moved onto
+// internal/codec. Encoding must reproduce it exactly, and decoding it must
+// give back the seed — checkpoints already on disk stay readable.
+func TestCheckpointGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeCheckpoint(fuzzSeedCheckpoint()); !bytes.Equal(got, golden) {
+		t.Fatalf("encoding drifted from the golden bytes:\n got %x\nwant %x", got, golden)
+	}
+	ck, err := decodeCheckpoint(golden)
+	if err != nil {
+		t.Fatalf("decode golden: %v", err)
+	}
+	if want := fuzzSeedCheckpoint(); !reflect.DeepEqual(ck, want) {
+		t.Fatalf("golden decodes to\n%#v\nwant\n%#v", ck, want)
+	}
 }

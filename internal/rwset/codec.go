@@ -8,9 +8,7 @@ import (
 	"github.com/hyperprov/hyperprov/internal/statedb"
 )
 
-// rwsetMagic prefixes the canonical binary rwset encoding. Legacy JSON
-// rwsets (PR ≤ 9) are recognized by their '{' first byte and decode
-// transparently; everything encoded from here on is binary.
+// rwsetMagic prefixes the canonical binary rwset encoding.
 var rwsetMagic = []byte("HPRW")
 
 // rwsetVersion is the current version byte; decoders reject others.
@@ -74,8 +72,8 @@ func decodeStrings(d *codec.Dec) []string {
 	return ss
 }
 
-// decodeRWSet decodes a binary rwset. Byte fields alias b.
-func decodeRWSet(b []byte) (*ReadWriteSet, error) {
+// Unmarshal decodes an rwset produced by Marshal. Byte fields alias b.
+func Unmarshal(b []byte) (*ReadWriteSet, error) {
 	d := codec.NewDec(b)
 	if ver := d.Magic(rwsetMagic); d.Err() == nil && ver != rwsetVersion {
 		d.Fail(fmt.Errorf("%w: rwset version %d (supported: %d)", codec.ErrMalformed, ver, rwsetVersion))

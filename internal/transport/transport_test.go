@@ -349,8 +349,8 @@ func TestMidStreamDisconnect(t *testing.T) {
 						_ = network.WriteJSON(conn, &response{OK: true, Name: "half-open"})
 					case opBlocksFrom:
 						// Two frames, then drop the connection mid-stream.
-						_ = network.WriteJSON(conn, &response{OK: true, More: true, Block: blocks[0]})
-						_ = network.WriteJSON(conn, &response{OK: true, More: true, Block: blocks[1]})
+						_ = network.WriteJSON(conn, &response{OK: true, More: true, BlockBin: blockstore.MarshalBlock(blocks[0])})
+						_ = network.WriteJSON(conn, &response{OK: true, More: true, BlockBin: blockstore.MarshalBlock(blocks[1])})
 						return
 					}
 				}
@@ -375,6 +375,34 @@ func TestMidStreamDisconnect(t *testing.T) {
 	m := &Member{c: c, name: "half-open"}
 	if pre := m.BlocksFrom(0); len(pre) != 2 {
 		t.Errorf("member prefix = %d blocks", len(pre))
+	}
+}
+
+// TestDeliverRefusesJSONBlock: a deliver request carrying only a JSON
+// "block" field (the pre-binary wire form) is a bad request, not a commit.
+func TestDeliverRefusesJSONBlock(t *testing.T) {
+	f := newFixture(t)
+	p := f.newPeer("peer0")
+	srv := f.serve(p)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	legacy := map[string]any{"op": opDeliver, "block": chainOf(t, 1)[0]}
+	if err := network.WriteJSON(conn, legacy); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var resp response
+	if err := network.ReadJSON(conn, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.OK || resp.Code != network.CodeBadRequest {
+		t.Fatalf("JSON block deliver: ok=%v code=%v err=%q, want CodeBadRequest", resp.OK, resp.Code, resp.Err)
+	}
+	if h := p.Height(); h != 0 {
+		t.Fatalf("peer height = %d after refused deliver, want 0", h)
 	}
 }
 
