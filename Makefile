@@ -3,10 +3,10 @@
 #
 # Static analysis: `make lint` builds tools/analyzers (a separate module,
 # keeping the main go.mod dependency-free) into bin/hyperprov-vet and runs
-# it through `go vet -vettool` — six repo-specific analyzers enforcing the
+# it through `go vet -vettool` — five repo-specific analyzers enforcing the
 # invariants past PRs established (atomic durable writes, structured error
-# codes, no deprecated shims, lock/blocking discipline, constant metric
-# names, deterministic commit-path time). See README "Static analysis &
+# codes, lock/blocking discipline, constant metric names, deterministic
+# commit-path time). See README "Static analysis &
 # enforced invariants" for the table and the suppression directives.
 
 GO ?= go
@@ -43,7 +43,7 @@ vet:
 vettool:
 	cd tools/analyzers && $(GO) build -o bin/hyperprov-vet ./cmd/hyperprov-vet
 
-# Run the six repo-specific analyzers over the whole tree via `go vet`.
+# Run the five repo-specific analyzers over the whole tree via `go vet`.
 analyze: vettool
 	$(GO) vet -vettool=$(CURDIR)/$(VETTOOL) ./...
 
@@ -136,9 +136,10 @@ crash-test:
 	$(GO) test -count=3 -run 'Torture|Crash|Recover|FileStore' \
 		./internal/recovery/ ./internal/peer/ ./internal/blockstore/
 
-# Multi-process deployment smoke test: one -peer-serve process, two -join
-# processes, blocks disseminating over real TCP; asserts identical heights
-# and state fingerprints across all three.
+# Multi-process deployment smoke test: one -peer-serve process, three -join
+# processes (the last catching up from a joiner that re-serves its peer),
+# blocks disseminating over real TCP; asserts identical heights and state
+# fingerprints across all four.
 smoke:
 	./scripts/smoke_net.sh
 

@@ -8,7 +8,6 @@ import (
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
 	"github.com/hyperprov/hyperprov/internal/device"
 	"github.com/hyperprov/hyperprov/internal/fabric"
-	"github.com/hyperprov/hyperprov/internal/offchain"
 	"github.com/hyperprov/hyperprov/internal/orderer"
 	"github.com/hyperprov/hyperprov/internal/shim"
 )
@@ -79,9 +78,8 @@ func TestWithChannelUnknown(t *testing.T) {
 	}
 }
 
-// WithTimeout must make commit waits fail fast; the deprecated NewClient
-// wrapper must behave exactly like New(gw, WithStore(s)).
-func TestWithTimeoutAndDeprecatedWrapper(t *testing.T) {
+// WithTimeout must make commit waits fail fast.
+func TestWithTimeout(t *testing.T) {
 	n := newMultiChannelNet(t)
 	gw, err := n.NewGateway("opts-client3")
 	if err != nil {
@@ -93,24 +91,5 @@ func TestWithTimeoutAndDeprecatedWrapper(t *testing.T) {
 	}
 	if _, err := c.Post("too-slow", "sha256:x", PostOptions{}); !errors.Is(err, fabric.ErrCommitTimeout) {
 		t.Fatalf("post with 1ns timeout: err=%v, want commit timeout", err)
-	}
-
-	gw2, err := n.NewGateway("opts-client4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := offchain.NewMemStore()
-	legacy, err := NewClient(Config{Gateway: gw2, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Channel() != "tenant-a" {
-		t.Fatalf("legacy client channel = %q, want default tenant-a", legacy.Channel())
-	}
-	if _, err := legacy.StoreData("legacy-key", []byte("payload"), PostOptions{}); err != nil {
-		t.Fatalf("legacy StoreData: %v", err)
-	}
-	if data, _, err := legacy.GetData("legacy-key"); err != nil || string(data) != "payload" {
-		t.Fatalf("legacy GetData: data=%q err=%v", data, err)
 	}
 }

@@ -46,16 +46,10 @@ type ChannelConfig struct {
 
 // Config describes a network to assemble.
 type Config struct {
-	// ChannelID names the single application channel.
-	//
-	// Deprecated: single-channel shim, superseded by Channels. A Config
-	// with only ChannelID set behaves exactly as before (one channel of
-	// that name); it is ignored when Channels is non-empty.
-	ChannelID string
 	// Channels lists the application channels the network serves. Every
 	// peer hosts all of them; each channel gets its own orderer instance,
 	// per-peer ledger + state + commit pipeline, and gossip stream. Empty
-	// falls back to the single channel named by ChannelID.
+	// means one channel named "provchannel".
 	Channels []ChannelConfig
 	// Org is the organization name (the paper's network is single-org
 	// with four peers).
@@ -101,8 +95,7 @@ type Config struct {
 // 1 i7-4700MQ, 1 i3-2310M) with the orderer co-located on a Xeon.
 func DesktopConfig() Config {
 	return Config{
-		ChannelID: "provchannel",
-		Org:       "Org1",
+		Org: "Org1",
 		PeerProfiles: []device.Profile{
 			device.XeonE51603, device.XeonE51603, device.I74700MQ, device.I32310M,
 		},
@@ -116,8 +109,7 @@ func DesktopConfig() Config {
 // one switch, one of them also running the orderer.
 func RPiConfig() Config {
 	return Config{
-		ChannelID: "provchannel",
-		Org:       "Org1",
+		Org: "Org1",
 		PeerProfiles: []device.Profile{
 			device.RPi3BPlus, device.RPi3BPlus, device.RPi3BPlus, device.RPi3BPlus,
 		},
@@ -170,18 +162,9 @@ type Network struct {
 	netMetrics *metrics.Registry
 }
 
-// channelConfigs resolves the configured channel list, falling back to the
-// deprecated single-channel shim.
-func channelConfigs(cfg Config) []ChannelConfig {
-	if len(cfg.Channels) > 0 {
-		return cfg.Channels
-	}
-	id := cfg.ChannelID
-	if id == "" {
-		id = "provchannel"
-	}
-	return []ChannelConfig{{ID: id}}
-}
+// defaultChannel names the one channel of a network whose Config lists no
+// Channels.
+const defaultChannel = "provchannel"
 
 // NewNetwork assembles and starts a network: it enrolls peer and orderer
 // identities, builds one orderer instance and one per-host peer instance
@@ -197,7 +180,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = device.RealClock{}
 	}
-	channels := channelConfigs(cfg)
+	channels := cfg.Channels
+	if len(channels) == 0 {
+		channels = []ChannelConfig{{ID: defaultChannel}}
+	}
 	chIDs := make([]string, len(channels))
 	for i, chc := range channels {
 		chIDs[i] = chc.ID
@@ -320,7 +306,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 			caPEMs[i] = ca.CertPEM()
 		}
 		scfg := transport.ServerConfig{
-			ChannelID:  chIDs[0],
 			Orgs:       orgs,
 			CACertsPEM: caPEMs,
 			Shape:      cfg.PeerLink,
@@ -355,15 +340,9 @@ func (n *Network) channel(ch string) (*channelRuntime, error) {
 	return cr, nil
 }
 
-// mustChannel is channel for the legacy single-channel accessors, which
-// predate the error path and always name a served channel.
-func (n *Network) mustChannel(ch string) *channelRuntime {
-	cr, err := n.channel(ch)
-	if err != nil {
-		panic(err)
-	}
-	return cr
-}
+// defaultRuntime returns the first configured channel's runtime, the one
+// the default-channel accessors address.
+func (n *Network) defaultRuntime() *channelRuntime { return n.channels[n.chOrder[0]] }
 
 // PeerAddrs returns the listen addresses of the exposed peers, in peer
 // order (empty unless PeerListen was set).
@@ -421,7 +400,7 @@ func (n *Network) JoinRemoteChannel(addr, ch string, shape network.LinkShape) (*
 // The network must have been created with Gossip enabled. The new peer has
 // the full chaincode set installed.
 func (n *Network) AddGossipPeer(prof device.Profile, ccs map[string]shim.Chaincode) (*peer.Peer, error) {
-	cr := n.mustChannel("")
+	cr := n.defaultRuntime()
 	if cr.gossip == nil {
 		return nil, errors.New("fabric: gossip not enabled")
 	}
@@ -452,7 +431,7 @@ func (n *Network) AddGossipPeer(prof device.Profile, ccs map[string]shim.Chainco
 }
 
 // Gossip returns the default channel's gossip network, or nil when disabled.
-func (n *Network) Gossip() *gossip.Network { return n.mustChannel("").gossip }
+func (n *Network) Gossip() *gossip.Network { return n.defaultRuntime().gossip }
 
 // GossipFor returns one channel's gossip network (nil when gossip is
 // disabled) or an error for an unknown channel.
@@ -509,7 +488,7 @@ func (n *Network) Stop() {
 }
 
 // Peers returns the default channel's peer instances.
-func (n *Network) Peers() []*peer.Peer { return n.mustChannel("").peers }
+func (n *Network) Peers() []*peer.Peer { return n.defaultRuntime().peers }
 
 // ChannelPeers returns one channel's peer instances, in host order.
 func (n *Network) ChannelPeers(ch string) ([]*peer.Peer, error) {
@@ -524,7 +503,7 @@ func (n *Network) ChannelPeers(ch string) ([]*peer.Peer, error) {
 func (n *Network) Hosts() []*peer.Host { return n.hosts }
 
 // Orderer returns the default channel's ordering service.
-func (n *Network) Orderer() orderer.Service { return n.mustChannel("").orderer }
+func (n *Network) Orderer() orderer.Service { return n.defaultRuntime().orderer }
 
 // OrdererFor returns one channel's ordering service.
 func (n *Network) OrdererFor(ch string) (orderer.Service, error) {
@@ -630,7 +609,7 @@ func (n *Network) DeployChaincodeOn(ch, name string, mk func() shim.Chaincode) e
 // every default-channel peer and records the upgrade on the ledger by
 // re-running Init through the ordinary transaction flow.
 func (n *Network) UpgradeChaincode(name string, mk func() shim.Chaincode) error {
-	cr := n.mustChannel("")
+	cr := n.defaultRuntime()
 	for _, p := range cr.peers {
 		if err := p.UpgradeChaincode(name, mk(), n.policy); err != nil {
 			return err

@@ -129,7 +129,7 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 	// Endorse on this channel's peer instances in parallel (the paper's
 	// client library sends to every peer of the single org), plus any
 	// attached remote endorsers.
-	peers := g.net.mustChannel(g.channel).peers
+	peers := g.net.channels[g.channel].peers
 	endorsers := make([]Endorser, 0, len(peers)+len(g.remote))
 	for _, p := range peers {
 		endorsers = append(endorsers, p)
@@ -240,7 +240,7 @@ func (g *Gateway) Submit(chaincode, fn string, args ...[]byte) (*TxResult, error
 	// The propose span covers the client-side work — proposal signing,
 	// endorsement fan-out, and envelope assembly — ending at broadcast.
 	g.net.Tracer().Observe(txID, trace.StagePropose, "gateway", start, "")
-	if err := g.net.mustChannel(g.channel).orderer.Submit(env); err != nil {
+	if err := g.net.channels[g.channel].orderer.Submit(env); err != nil {
 		return nil, fmt.Errorf("fabric: broadcast: %w", err)
 	}
 
@@ -325,7 +325,7 @@ func largestConsistentGroup(resps []*endorser.Response) []*endorser.Response {
 // channel (round-robin would be a refinement; peer 0 matches the paper's
 // client behaviour).
 func (g *Gateway) Evaluate(chaincode, fn string, args ...[]byte) ([]byte, error) {
-	resp, err := g.net.mustChannel(g.channel).peers[0].Query(chaincode, fn, args, g.signer.Serialize())
+	resp, err := g.net.channels[g.channel].peers[0].Query(chaincode, fn, args, g.signer.Serialize())
 	if err != nil {
 		return nil, err
 	}

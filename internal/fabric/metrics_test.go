@@ -1,5 +1,3 @@
-//hyperprov:compat exercises the legacy single-channel peer.Config.ChannelID path on purpose
-
 package fabric
 
 import (
@@ -7,9 +5,7 @@ import (
 	"time"
 
 	"github.com/hyperprov/hyperprov/internal/chaincode/provenance"
-	"github.com/hyperprov/hyperprov/internal/identity"
 	"github.com/hyperprov/hyperprov/internal/metrics"
-	"github.com/hyperprov/hyperprov/internal/peer"
 )
 
 func TestPeerMetricsReflectTraffic(t *testing.T) {
@@ -74,18 +70,8 @@ func TestLateSubscriberReplaysChain(t *testing.T) {
 	target := n.Peers()[0].Height()
 
 	// A brand-new peer subscribing now must replay everything.
-	signer, err := n.CA().Enroll("late-peer", identity.RolePeer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	late := peer.New(peer.Config{
-		Name: "late-peer", Signer: signer, MSP: n.MSP(), ChannelID: n.ChannelID(),
-	})
-	if err := late.InstallChaincode(provenance.ChaincodeName, provenance.New(), n.Policy()); err != nil {
-		t.Fatal(err)
-	}
+	late := outsideHost(t, n, "late-peer").Default()
 	late.Start(n.Orderer().Subscribe())
-	defer late.Stop()
 
 	waitFor(t, func() bool { return late.Height() >= target })
 	if err := late.Ledger().VerifyChain(); err != nil {

@@ -21,7 +21,6 @@ import (
 func newTwoChannelNetwork(t *testing.T) *Network {
 	t.Helper()
 	cfg := testConfig()
-	cfg.ChannelID = ""
 	cfg.Channels = []ChannelConfig{{ID: "tenant-a"}, {ID: "tenant-b"}}
 	n, err := NewNetwork(cfg)
 	if err != nil {

@@ -1,5 +1,3 @@
-//hyperprov:compat exercises the legacy single-channel peer.Config.ChannelID path on purpose
-
 package fabric
 
 import (
@@ -13,22 +11,33 @@ import (
 	"github.com/hyperprov/hyperprov/internal/transport"
 )
 
-// externalPeer builds a peer outside the network's process boundary (in
-// this test, outside its member list): same trust domain, own transport
-// listener — the shape of a peer served by another OS process.
-func externalPeer(t *testing.T, n *Network, name string) (*peer.Peer, *transport.Server) {
+// outsideHost builds a volatile one-channel host outside the network's
+// member list: same trust domain and default channel, provenance chaincode
+// installed, not subscribed to any block stream.
+func outsideHost(t *testing.T, n *Network, name string) *peer.Host {
 	t.Helper()
 	signer, err := n.CA().Enroll(name, identity.RolePeer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := peer.New(peer.Config{Name: name, Signer: signer, MSP: n.MSP(), ChannelID: n.ChannelID()})
-	t.Cleanup(p.Stop)
-	if err := p.InstallChaincode(provenance.ChaincodeName, provenance.New(), n.Policy()); err != nil {
+	host, err := peer.NewHost(peer.Config{Name: name, Signer: signer, MSP: n.MSP(), Channels: []string{n.ChannelID()}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := transport.NewServer("127.0.0.1:0", p, transport.ServerConfig{
-		ChannelID:  n.ChannelID(),
+	t.Cleanup(host.Stop)
+	if err := host.Default().InstallChaincode(provenance.ChaincodeName, provenance.New(), n.Policy()); err != nil {
+		t.Fatal(err)
+	}
+	return host
+}
+
+// externalPeer builds a peer outside the network's process boundary (in
+// this test, outside its member list): same trust domain, own transport
+// listener — the shape of a peer served by another OS process.
+func externalPeer(t *testing.T, n *Network, name string) (*peer.Peer, *transport.Server) {
+	t.Helper()
+	host := outsideHost(t, n, name)
+	srv, err := transport.NewHostServer("127.0.0.1:0", host, transport.ServerConfig{
 		Orgs:       []string{n.CA().Org()},
 		CACertsPEM: [][]byte{n.CA().CertPEM()},
 	})
@@ -36,7 +45,7 @@ func externalPeer(t *testing.T, n *Network, name string) (*peer.Peer, *transport
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return p, srv
+	return host.Default(), srv
 }
 
 func waitForHeight(t *testing.T, p *peer.Peer, want uint64) {

@@ -17,6 +17,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"github.com/hyperprov/hyperprov/internal/durable"
 )
 
 // Errors returned by stores.
@@ -166,41 +168,10 @@ func (d *DirStore) path(key string) string {
 // nothing is.
 func (d *DirStore) Put(data []byte) (string, error) {
 	key := Checksum(data)
-	final := d.path(key)
-	tmp, err := os.CreateTemp(d.root, putTmpPattern)
-	if err != nil {
-		return "", fmt.Errorf("offchain: temp object: %w", err)
+	if err := durable.WriteFile(d.root, putTmpPattern, d.path(key), data); err != nil {
+		return "", fmt.Errorf("offchain: store object: %w", err)
 	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(data); err != nil {
-		cleanup()
-		return "", fmt.Errorf("offchain: write object: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return "", fmt.Errorf("offchain: sync object: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return "", fmt.Errorf("offchain: close object: %w", err)
-	}
-	if err := os.Rename(tmpName, final); err != nil {
-		os.Remove(tmpName)
-		return "", fmt.Errorf("offchain: publish object: %w", err)
-	}
-	syncDir(d.root)
 	return "file://" + key, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed object survives power loss.
-// Best-effort, matching internal/recovery: some filesystems refuse
-// directory fsync.
-func syncDir(dir string) {
-	if f, err := os.Open(dir); err == nil {
-		_ = f.Sync()
-		f.Close()
-	}
 }
 
 // Get reads and verifies a content-addressed file.

@@ -1,8 +1,13 @@
 package peer
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -31,7 +36,7 @@ func siblingFixtureOn(f *fixture, channel string) *fixture {
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	p := New(Config{Name: "peer-" + channel, Signer: signer, MSP: f.msp, ChannelID: channel})
+	p := newVolatile(f.t, Config{Name: "peer-" + channel, Signer: signer, MSP: f.msp}, channel)
 	if err := p.InstallChaincode(provenance.ChaincodeName, provenance.New(),
 		endorser.SignedBy("Org1MSP")); err != nil {
 		f.t.Fatal(err)
@@ -116,7 +121,7 @@ func TestTwoChannelHostCrashRecovery(t *testing.T) {
 			// append of one channel's block file (alternating which).
 			if round%2 == 1 {
 				torn := channels[(round/2)%len(channels)]
-				tearTailAt(t, recovery.BlockFilePathFor(dir, torn), rng)
+				tearTail(t, recovery.BlockFilePathFor(dir, torn), rng)
 			}
 
 			// Reopen: every channel recovers independently to within the
@@ -164,16 +169,48 @@ func TestTwoChannelHostCrashRecovery(t *testing.T) {
 }
 
 // TestHostChannelLayoutsAreDisjoint pins the on-disk contract: each channel
-// of a multi-channel host owns its own block file and checkpoint root, and
-// a legacy single-channel directory is untouched by the per-channel layout.
+// of a multi-channel host owns its own block file and checkpoint root.
 func TestHostChannelLayoutsAreDisjoint(t *testing.T) {
 	if a, b := recovery.BlockFilePathFor("d", "alpha"), recovery.BlockFilePathFor("d", "beta"); a == b {
 		t.Fatalf("channel block files collide: %s", a)
 	}
-	if a, legacy := recovery.BlockFilePathFor("d", "alpha"), recovery.BlockFilePath("d"); a == legacy {
-		t.Fatalf("channel block file collides with the legacy layout: %s", a)
-	}
 	if a, b := recovery.CheckpointDirFor("d", "alpha"), recovery.CheckpointDirFor("d", "beta"); a == b {
 		t.Fatalf("channel checkpoint roots collide: %s", a)
+	}
+}
+
+// A host always serves at least one named channel; there is no implicit
+// unnamed one.
+func TestHostRequiresChannels(t *testing.T) {
+	if _, err := NewHost(Config{Name: "p"}); err == nil {
+		t.Fatal("NewHost with no channels succeeded")
+	}
+	if _, err := Open(Config{Name: "p", Dir: t.TempDir()}); err == nil {
+		t.Fatal("Open with no channels succeeded")
+	}
+}
+
+// A single-channel data directory from before multi-channel hosts (a bare
+// blocks.jsonl) must fail to open loudly, not open as an empty new channel,
+// and its ledger must be left byte-identical.
+func TestOpenRefusesLegacyDataDir(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("..", "blockstore", "testdata", "legacy_ledger.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "blocks.jsonl")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(Config{Name: "p", Channels: []string{"ch"}, Dir: dir})
+	if !errors.Is(err, blockstore.ErrLegacyLedger) {
+		t.Fatalf("Open over a legacy data dir: err = %v, want ErrLegacyLedger", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, legacy) {
+		t.Fatalf("legacy ledger modified (err %v)", err)
+	}
+	if _, err := os.Stat(recovery.BlockFilePathFor(dir, "ch")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("refused open created the channel ledger (stat err %v)", err)
 	}
 }

@@ -55,7 +55,7 @@ func (f *fixture) openDurable(dir string, every uint64) *Peer {
 		f.t.Fatal(err)
 	}
 	host, err := Open(Config{
-		Name: "durable", Signer: signer, MSP: f.msp, ChannelID: "ch",
+		Name: "durable", Signer: signer, MSP: f.msp, Channels: []string{"ch"},
 		Dir: dir, CheckpointEvery: every, CheckpointKeep: 2, SyncEachAppend: true,
 	})
 	if err != nil {
@@ -105,16 +105,9 @@ func buildTortureStream(f *fixture, blocks, txs int) []*blockstore.Block {
 	return out
 }
 
-// tearTail truncates the block file inside its final line, simulating a
+// tearTail truncates a block file inside its final line, simulating a
 // crash that tore the last append.
-func tearTail(t *testing.T, dir string, rng *rand.Rand) {
-	t.Helper()
-	tearTailAt(t, recovery.BlockFilePath(dir), rng)
-}
-
-// tearTailAt is tearTail for an explicit block-file path (a channel's
-// blocks-<ch>.jsonl under the per-channel layout).
-func tearTailAt(t *testing.T, path string, rng *rand.Rand) {
+func tearTail(t *testing.T, path string, rng *rand.Rand) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -179,7 +172,7 @@ func TestTortureCrashRecovery(t *testing.T) {
 			}
 			p.Crash()
 			if round%2 == 1 {
-				tearTail(t, dir, rng) // power loss tore the final append
+				tearTail(t, recovery.BlockFilePathFor(dir, "ch"), rng) // power loss tore the final append
 			}
 
 			// Reopen from disk. The recovered height may trail the kill

@@ -8,11 +8,14 @@
 // indexes at the exact pre-crash fingerprint, paying replay cost only for
 // the blocks committed since the last checkpoint.
 //
-// On-disk layout under a peer's data directory:
+// On-disk layout of one channel <ch> under a peer's data directory:
 //
-//	blocks.jsonl                     append-only block file (blockstore.FileStore)
-//	checkpoints/ckpt-<height16>.ckpt height-stamped checkpoint, newest wins
-//	checkpoints/*.tmp                in-flight writes (ignored, swept on open)
+//	blocks-<ch>.jsonl                     append-only block file (blockstore.FileStore)
+//	checkpoints/<ch>/ckpt-<height16>.ckpt height-stamped checkpoint, newest wins
+//	checkpoints/<ch>/*.tmp                in-flight writes (ignored, swept on open)
+//
+// A bare blocks.jsonl marks a single-channel data directory from before
+// multi-channel hosts; Open refuses it.
 //
 // Each checkpoint file carries a trailing CRC-32C over its whole payload
 // (see codec.go) and is written via temp-file + rename + fsync, so a crash
@@ -30,6 +33,7 @@ import (
 	"strings"
 
 	"github.com/hyperprov/hyperprov/internal/committer"
+	"github.com/hyperprov/hyperprov/internal/durable"
 	"github.com/hyperprov/hyperprov/internal/historydb"
 	"github.com/hyperprov/hyperprov/internal/richquery"
 	"github.com/hyperprov/hyperprov/internal/statedb"
@@ -96,47 +100,18 @@ func parseCkptName(name string) (uint64, bool) {
 }
 
 // WriteCheckpoint atomically persists ck into dir (created if needed):
-// marshal, checksum, write to a temp file, fsync, rename to the final
-// height-stamped name, fsync the directory. It returns the final path.
+// marshal, checksum, and publish under the final height-stamped name
+// through durable.WriteFile (temp file, fsync, rename, directory fsync).
+// It returns the final path.
 func WriteCheckpoint(dir string, ck *Checkpoint) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("recovery: mkdir %s: %w", dir, err)
 	}
-	raw := encodeCheckpoint(ck)
 	final := filepath.Join(dir, ckptName(ck.Height))
-	tmp, err := os.CreateTemp(dir, ckptPrefix+"*.tmp")
-	if err != nil {
-		return "", fmt.Errorf("recovery: temp checkpoint: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(raw); err != nil {
-		cleanup()
+	if err := durable.WriteFile(dir, ckptPrefix+"*.tmp", final, encodeCheckpoint(ck)); err != nil {
 		return "", fmt.Errorf("recovery: write checkpoint: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return "", fmt.Errorf("recovery: sync checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return "", fmt.Errorf("recovery: close checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, final); err != nil {
-		os.Remove(tmpName)
-		return "", fmt.Errorf("recovery: publish checkpoint: %w", err)
-	}
-	syncDir(dir)
 	return final, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives power loss.
-// Best-effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
 }
 
 // ReadCheckpoint loads one checkpoint file and validates its CRC-32C.

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -185,11 +187,14 @@ func mkStoredBlock(t *testing.T, n uint64, prev []byte, keys ...string) *blockst
 	return b
 }
 
+// testChannel is the channel the tests' data directories hold.
+const testChannel = "ch"
+
 // seedLedger writes n blocks into dataDir's block file, checkpointing via a
 // Manager every `every` blocks, and returns the final fingerprints.
 func seedLedger(t *testing.T, dataDir string, n, every int) (stateFP, histFP string) {
 	t.Helper()
-	blocks, err := blockstore.OpenFileStoreWithPolicy(BlockFilePath(dataDir), blockstore.SyncEachAppend)
+	blocks, err := blockstore.OpenFileStoreWithPolicy(BlockFilePathFor(dataDir, testChannel), blockstore.SyncEachAppend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +204,7 @@ func seedLedger(t *testing.T, dataDir string, n, every int) (stateFP, histFP str
 		t.Fatal(err)
 	}
 	history := historydb.New()
-	mgr := NewManager(dataDir, DefaultKeep, state, history, blocks)
+	mgr := NewManagerChannel(dataDir, testChannel, DefaultKeep, state, history, blocks)
 	for i := 0; i < n; i++ {
 		b := mkStoredBlock(t, uint64(i), blocks.LastHash(),
 			fmt.Sprintf("item-%03d", i), fmt.Sprintf("shared-%d", i%3))
@@ -228,7 +233,7 @@ func TestOpenRecoversFromCheckpointPlusTail(t *testing.T) {
 	dir := t.TempDir()
 	stateFP, histFP := seedLedger(t, dir, 10, 4) // checkpoints at 4 and 8, tail of 2
 
-	got, err := Open(dir, Options{})
+	got, err := Open(dir, Options{Channel: testChannel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +259,7 @@ func TestOpenFromGenesisMatchesCheckpointed(t *testing.T) {
 	dir := t.TempDir()
 	stateFP, histFP := seedLedger(t, dir, 9, 4)
 
-	got, err := Open(dir, Options{FromGenesis: true})
+	got, err := Open(dir, Options{FromGenesis: true, Channel: testChannel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +276,7 @@ func TestOpenFromGenesisMatchesCheckpointed(t *testing.T) {
 }
 
 func TestOpenFreshDirectory(t *testing.T) {
-	got, err := Open(filepath.Join(t.TempDir(), "fresh"), Options{})
+	got, err := Open(filepath.Join(t.TempDir(), "fresh"), Options{Channel: testChannel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,19 +286,53 @@ func TestOpenFreshDirectory(t *testing.T) {
 	}
 }
 
+func TestOpenRequiresChannel(t *testing.T) {
+	if _, err := Open(t.TempDir(), Options{}); err == nil {
+		t.Fatal("Open with no channel succeeded")
+	}
+}
+
+// A single-channel data directory from before multi-channel hosts (a bare
+// blocks.jsonl) must be refused, naming the file and leaving it
+// byte-identical, instead of opening as an empty new channel beside it.
+func TestOpenRefusesLegacyDataDir(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("..", "blockstore", "testdata", "legacy_ledger.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "blocks.jsonl")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, Options{Channel: testChannel})
+	if !errors.Is(err, blockstore.ErrLegacyLedger) {
+		t.Fatalf("Open over a legacy data dir: err = %v, want ErrLegacyLedger", err)
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("error %q does not name %s", err, path)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, legacy) {
+		t.Fatalf("legacy ledger modified (err %v)", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("refused open touched the directory: %v (err %v)", entries, err)
+	}
+}
+
 func TestManagerFinalEnablesInstantReopen(t *testing.T) {
 	dir := t.TempDir()
 	seedLedger(t, dir, 5, 0) // no periodic checkpoints
 
 	// Reopen replaying from genesis, then take a final checkpoint.
-	opened, err := Open(dir, Options{})
+	opened, err := Open(dir, Options{Channel: testChannel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opened.Replayed != 5 {
 		t.Fatalf("first open replayed %d, want 5", opened.Replayed)
 	}
-	mgr := NewManager(dir, DefaultKeep, opened.State, opened.History, opened.Blocks)
+	mgr := NewManagerChannel(dir, testChannel, DefaultKeep, opened.State, opened.History, opened.Blocks)
 	if err := mgr.Final(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +341,7 @@ func TestManagerFinalEnablesInstantReopen(t *testing.T) {
 	}
 	opened.Blocks.Close()
 
-	again, err := Open(dir, Options{})
+	again, err := Open(dir, Options{Channel: testChannel})
 	if err != nil {
 		t.Fatal(err)
 	}

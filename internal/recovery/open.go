@@ -3,6 +3,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -15,38 +16,24 @@ import (
 
 // File names inside a peer data directory.
 const (
-	blockFileName    = "blocks.jsonl"
+	// legacyBlockFile is the ledger of a single-channel data directory from
+	// before multi-channel hosts; Open refuses a directory holding one.
+	legacyBlockFile  = "blocks.jsonl"
 	checkpointSubdir = "checkpoints"
 )
 
-// BlockFilePath returns the legacy single-channel block file path inside a
-// peer data directory.
-func BlockFilePath(dataDir string) string { return BlockFilePathFor(dataDir, "") }
-
-// CheckpointDir returns the legacy single-channel checkpoint directory
-// inside a peer data directory.
-func CheckpointDir(dataDir string) string { return CheckpointDirFor(dataDir, "") }
-
 // BlockFilePathFor returns the block file path for one channel of a peer
-// data directory. An empty channel selects the legacy single-channel layout
-// (blocks.jsonl); a named channel gets its own ledger file,
+// data directory: every channel has its own ledger file,
 // blocks-<channel>.jsonl, so N channels of one host never share an append
 // stream.
 func BlockFilePathFor(dataDir, channel string) string {
-	if channel == "" {
-		return filepath.Join(dataDir, blockFileName)
-	}
 	return filepath.Join(dataDir, "blocks-"+channel+".jsonl")
 }
 
 // CheckpointDirFor returns the checkpoint directory for one channel of a
-// peer data directory. An empty channel selects the legacy layout
-// (checkpoints/); a named channel nests under it (checkpoints/<channel>/),
-// giving every channel an independent recovery root.
+// peer data directory, checkpoints/<channel>/, giving every channel an
+// independent recovery root.
 func CheckpointDirFor(dataDir, channel string) string {
-	if channel == "" {
-		return filepath.Join(dataDir, checkpointSubdir)
-	}
 	return filepath.Join(dataDir, checkpointSubdir, channel)
 }
 
@@ -57,10 +44,9 @@ type Options struct {
 	// FromGenesis ignores checkpoints and replays the whole block file —
 	// the recovery benchmark's baseline and a paranoid full re-audit path.
 	FromGenesis bool
-	// Channel selects which channel of the data directory to recover.
-	// Empty keeps the legacy single-channel layout (blocks.jsonl,
-	// checkpoints/); a named channel uses blocks-<ch>.jsonl and
-	// checkpoints/<ch>/.
+	// Channel selects which channel of the data directory to recover: its
+	// ledger is blocks-<ch>.jsonl and its checkpoints live under
+	// checkpoints/<ch>/. Required.
 	Channel string
 }
 
@@ -102,8 +88,20 @@ type Opened struct {
 //     rich-query secondary indexes to the exact pre-crash fingerprint.
 //
 // With no usable checkpoint the replay starts from genesis — slower, never
-// wrong.
+// wrong. A data directory holding a single-channel ledger (blocks.jsonl)
+// is refused with an error wrapping blockstore.ErrLegacyLedger, and the
+// file is left untouched, rather than opened as an empty new channel.
 func Open(dataDir string, opts Options) (*Opened, error) {
+	if opts.Channel == "" {
+		return nil, errors.New("recovery: Open needs a channel")
+	}
+	legacy := filepath.Join(dataDir, legacyBlockFile)
+	switch _, err := os.Lstat(legacy); {
+	case err == nil:
+		return nil, fmt.Errorf("recovery: %w: %s (single-channel data directory)", blockstore.ErrLegacyLedger, legacy)
+	case !errors.Is(err, fs.ErrNotExist):
+		return nil, fmt.Errorf("recovery: %w", err)
+	}
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("recovery: mkdir %s: %w", dataDir, err)
 	}

@@ -10,8 +10,8 @@ import (
 	"github.com/hyperprov/hyperprov/internal/peer"
 )
 
-// newHost builds a volatile two-channel host with the provenance chaincode
-// installed on every channel.
+// newHost builds a volatile host serving the given channels, with the
+// provenance chaincode installed on every channel.
 func (f *fixture) newHost(name string, channels ...string) *peer.Host {
 	f.t.Helper()
 	signer, err := f.ca.Enroll(name, identity.RolePeer)

@@ -40,11 +40,9 @@ var _ Node = (*peer.Peer)(nil)
 
 // ServerConfig parameterizes a serving peer.
 type ServerConfig struct {
-	// ChannelID names the single channel a NewServer-built server exposes
-	// (NewHostServer derives its channel set from the host instead). It and
-	// Orgs describe the network for the hello handshake.
-	ChannelID string
-	Orgs      []string
+	// Orgs describes the network's organizations for the hello handshake
+	// (the channel set comes from the served host).
+	Orgs []string
 	// CACertsPEM are the organizations' CA certificates handed to joining
 	// processes as trust anchors.
 	CACertsPEM [][]byte
@@ -78,13 +76,6 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 }
 
-// NewServer starts a transport server exposing a single channel node on
-// addr ("127.0.0.1:0" for an ephemeral port), the channel named by
-// cfg.ChannelID. Multi-channel hosts use NewHostServer.
-func NewServer(addr string, node Node, cfg ServerConfig) (*Server, error) {
-	return newServer(addr, map[string]Node{cfg.ChannelID: node}, []string{cfg.ChannelID}, cfg)
-}
-
 // NewHostServer starts a transport server exposing every channel of a
 // multi-channel host on one listener. The host's first channel is the
 // default route for channel-less (pre-multichannel) clients.
@@ -97,10 +88,6 @@ func NewHostServer(addr string, host *peer.Host, cfg ServerConfig) (*Server, err
 	for _, ch := range order {
 		nodes[ch] = host.Channel(ch)
 	}
-	return newServer(addr, nodes, order, cfg)
-}
-
-func newServer(addr string, nodes map[string]Node, order []string, cfg ServerConfig) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)

@@ -1,5 +1,3 @@
-//hyperprov:compat exercises the legacy single-channel peer.Config.ChannelID path on purpose
-
 package transport
 
 import (
@@ -28,6 +26,8 @@ type fixture struct {
 	msp    *identity.MSP
 	client *identity.SigningIdentity
 	nextTx int
+	// hosts maps each peer newPeer built to the one-channel host serving it.
+	hosts map[*peer.Peer]*peer.Host
 }
 
 func newFixture(t *testing.T) *fixture {
@@ -40,35 +40,33 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{t: t, ca: ca, msp: identity.NewMSP(ca), client: client}
+	return &fixture{t: t, ca: ca, msp: identity.NewMSP(ca), client: client,
+		hosts: make(map[*peer.Peer]*peer.Host)}
 }
 
+// newPeer builds a volatile host serving channel "ch" and returns its peer.
 func (f *fixture) newPeer(name string) *peer.Peer {
 	f.t.Helper()
-	signer, err := f.ca.Enroll(name, identity.RolePeer)
-	if err != nil {
-		f.t.Fatal(err)
-	}
-	p := peer.New(peer.Config{Name: name, Signer: signer, MSP: f.msp, ChannelID: "ch"})
-	if err := p.InstallChaincode(provenance.ChaincodeName, provenance.New(),
-		endorser.SignedBy("Org1MSP")); err != nil {
-		f.t.Fatal(err)
-	}
-	f.t.Cleanup(p.Stop)
-	return p
+	h := f.newHost(name, "ch")
+	f.hosts[h.Default()] = h
+	return h.Default()
 }
 
 func (f *fixture) serverConfig() ServerConfig {
 	return ServerConfig{
-		ChannelID:  "ch",
 		Orgs:       []string{"Org1"},
 		CACertsPEM: [][]byte{f.ca.CertPEM()},
 	}
 }
 
+// listen serves the host of a peer built by newPeer on addr.
+func (f *fixture) listen(addr string, p *peer.Peer, cfg ServerConfig) (*Server, error) {
+	return NewHostServer(addr, f.hosts[p], cfg)
+}
+
 func (f *fixture) serve(p *peer.Peer) *Server {
 	f.t.Helper()
-	srv, err := NewServer("127.0.0.1:0", p, f.serverConfig())
+	srv, err := f.listen("127.0.0.1:0", p, f.serverConfig())
 	if err != nil {
 		f.t.Fatal(err)
 	}
@@ -463,7 +461,7 @@ func TestReconnectAfterRestartConvergence(t *testing.T) {
 	edge := f.newPeer("peer1")
 	f.commitTx(source, "before-restart")
 
-	srv, err := NewServer("127.0.0.1:0", source, f.serverConfig())
+	srv, err := f.listen("127.0.0.1:0", source, f.serverConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +486,7 @@ func TestReconnectAfterRestartConvergence(t *testing.T) {
 	}
 	f.commitTx(source, "during-outage")
 	time.Sleep(50 * time.Millisecond) // let a few failed rounds exercise the backoff path
-	srv2, err := NewServer(addr, source, f.serverConfig())
+	srv2, err := f.listen(addr, source, f.serverConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,10 @@
 # peers exposed on TCP listeners) and two -join peer processes, one per
 # channel. Each joiner negotiates its channel in the transport's hello
 # handshake, fetches trust anchors, catches up via TCP gossip anti-entropy,
-# and must reach its channel's exact block height and state fingerprint —
-# three OS processes, every block crossing a real socket.
+# and must reach its channel's exact block height and state fingerprint.
+# The second joiner also re-serves its caught-up peer (-listen), and a third
+# joiner must reach the same height and fingerprint from it alone — four OS
+# processes, every block crossing a real socket.
 #
 # The primary and the second joiner also serve the -admin endpoint; the
 # script asserts /metrics answers with channel-labeled pipeline series,
@@ -24,7 +26,7 @@ LOG="$WORK/primary.log"
 JOINLOG="$WORK/join-b.log"
 go build -o "$BIN" ./cmd/hyperprov-net
 
-# -run-for must exceed the script's worst case (120s ready-wait + two 90s
+# -run-for must exceed the script's worst case (120s ready-wait + three 90s
 # join timeouts); the exit trap kills the primary long before that.
 "$BIN" -peer-serve -channels "$CH_A,$CH_B" -addr 127.0.0.1:0 -txs 4 \
   -peer-latency 1ms -run-for 600s -admin 127.0.0.1:0 >"$LOG" 2>&1 &
@@ -103,13 +105,13 @@ echo "admin ok: channel-labeled /metrics, per-channel /healthz, full /tracez tim
 # Two joining processes, one per channel, each gossiping with a different
 # serving peer. Each negotiates its channel in the hello handshake and must
 # converge to THAT channel's height and fingerprint. The second also serves
-# an admin endpoint and lingers so we can inspect the gossip hop's traces
-# from the receiving side.
+# an admin endpoint and its own peer transport, and lingers so we can
+# inspect the gossip hop's traces from the receiving side and join it.
 "$BIN" -join "$PEER1" -channel "$CH_A" -name edge-a -peer-latency 1ms \
   -expect-height "$HEIGHT_A" -expect-fingerprint "$FP_A" -timeout 90s
 "$BIN" -join "$PEER2" -channel "$CH_B" -name edge-b -peer-latency 1ms \
   -expect-height "$HEIGHT_B" -expect-fingerprint "$FP_B" -timeout 90s \
-  -admin 127.0.0.1:0 -run-for 600s >"$JOINLOG" 2>&1 &
+  -admin 127.0.0.1:0 -listen 127.0.0.1:0 -run-for 600s >"$JOINLOG" 2>&1 &
 JOINER=$!
 for _ in $(seq 1 240); do
   grep -q '^CONVERGED ' "$JOINLOG" && break
@@ -137,6 +139,15 @@ echo "$JHEALTH" | grep -q '"peer": *"edge-b"' || {
   echo "joiner /healthz wrong peer: $JHEALTH"; exit 1;
 }
 echo "joiner admin ok: gossip.deliver + commit stages visible on edge-b ($CH_B)"
+
+# The lingering joiner re-serves its caught-up peer: a third, one-shot
+# joiner catching up from it alone must land on the same channel height and
+# fingerprint, two transport hops from the primary.
+JSERVE=$(sed -n 's/^serving joined peer on //p' "$JOINLOG")
+[ -n "$JSERVE" ] || { echo "joiner printed no serving line:"; cat "$JOINLOG"; exit 1; }
+"$BIN" -join "$JSERVE" -channel "$CH_B" -name edge-c -peer-latency 1ms \
+  -expect-height "$HEIGHT_B" -expect-fingerprint "$FP_B" -timeout 90s
+echo "re-serve ok: edge-c caught up $CH_B from edge-b at $JSERVE"
 
 # After the joins, the primary's transport servers have served real
 # connections: the frame counters must now be on its /metrics.

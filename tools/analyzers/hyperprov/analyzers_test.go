@@ -9,17 +9,12 @@ import (
 
 func TestAtomicWrite(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), hyperprov.AtomicWrite,
-		"atomicwrite/offchain", "atomicwrite/other")
+		"atomicwrite/offchain", "atomicwrite/durable", "atomicwrite/other")
 }
 
 func TestErrCodes(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), hyperprov.ErrCodes,
 		"errcodes/a")
-}
-
-func TestNoDeprecated(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), hyperprov.NoDeprecated,
-		"nodeprecated/use", "nodeprecated/core", "nodeprecated/peer", "nodeprecated/fabric")
 }
 
 func TestLockSafe(t *testing.T) {

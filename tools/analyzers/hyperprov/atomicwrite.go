@@ -7,22 +7,23 @@ import (
 )
 
 // AtomicWrite enforces the durability discipline PR 3 established: in the
-// packages that own durable files (blockstore, recovery, offchain),
-// publishing a file must go through temp-file + fsync + rename + directory
-// fsync, never a direct os.WriteFile or os.Create that can leave a torn
-// file behind a valid name after a crash. os.CreateTemp and os.OpenFile
+// packages that own durable files (blockstore, recovery, offchain) and in
+// the shared durable-write helper, publishing a file must go through
+// temp-file + fsync + rename + directory fsync, never a direct
+// os.WriteFile or os.Create that can leave a torn file behind a valid name
+// after a crash. os.CreateTemp and os.OpenFile
 // remain legal: the former is the sanctioned first step of the atomic
 // pattern, the latter is how the append-only block file opens.
 var AtomicWrite = &analysis.Analyzer{
 	Name: "atomicwrite",
 	Doc: "flag direct os.WriteFile/os.Create in durable-file packages " +
-		"(blockstore, recovery, offchain); durable files must be published " +
+		"(blockstore, recovery, offchain, durable); durable files must be published " +
 		"via temp+fsync+rename+dir-fsync",
 	Run: runAtomicWrite,
 }
 
 func runAtomicWrite(pass *analysis.Pass) error {
-	if !inScope(pass.Pkg.Path(), "blockstore", "recovery", "offchain") {
+	if !inScope(pass.Pkg.Path(), "blockstore", "recovery", "offchain", "durable") {
 		return nil
 	}
 	allow := newAllowIndex(pass)
